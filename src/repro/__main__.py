@@ -10,7 +10,8 @@ Artifacts:
   :func:`repro.workloads.register_workload`);
 * ``figure4`` — areas and performance/mm²;
 * ``figure5`` — the two floorplans;
-* ``claims`` — every headline claim, paper vs measured;
+* ``claims`` — every headline claim, paper vs measured (exit status 1
+  when any claim does not hold);
 * ``sweep <spec.json>`` — any (workload × machine × memory × timing ×
   policy) grid from a declarative JSON spec file naming per-axis presets
   or inline overrides (see :mod:`repro.experiments.sweep`);
@@ -323,11 +324,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         code = _render_artifact(parser, args, executor, selection)
         if renderer is not None:
             renderer.close()  # never interleave stats with a live line
-        if args.sanitize and code == 0:
+        if args.sanitize:
             # Any violation would have raised SanitizerError inside its
             # cell and failed the run; reaching here means every checked
-            # invariant held.  Diagnostics go to stderr so artifact
-            # stdout stays byte-identical with and without --sanitize.
+            # invariant held (a claim that does not hold is no finding).
+            # Diagnostics go to stderr so artifact stdout stays
+            # byte-identical with and without --sanitize.
             print("sanitize: 0 sanitizer findings", file=sys.stderr)
         if args.cache_stats:
             print(executor.stats.summary(), file=sys.stderr)
@@ -517,8 +519,11 @@ def _render_artifact(parser: argparse.ArgumentParser,
         from repro.experiments.headline import (check_headline_claims,
                                                 render_claims)
         extra = selection() if (args.extended or args.workloads) else ()
-        print(render_claims(check_headline_claims(executor=executor,
-                                                  extra_workloads=extra)))
+        claims = check_headline_claims(executor=executor,
+                                       extra_workloads=extra)
+        print(render_claims(claims))
+        # A claim that stops holding fails the command (stdout unchanged).
+        return 0 if all(c.holds for c in claims) else 1
     return 0
 
 

@@ -22,9 +22,6 @@ indirectly:
   disjoint from the FRL after every rename.
 * **VRF mapping consistency** — :meth:`VRFMapping.invariant_check` runs on
   every residency transition, not just at test boundaries.
-* **Span-accounting conservation** — ``span_cycles == spans_charged +
-  cycles_skipped`` after *every* fast-forward interval, not just at the end
-  of the run.
 
 The sanitizer is wired through two kinds of probe points: ``sanitizer``
 attributes on the core structures (:class:`VRFMapping`,
@@ -229,27 +226,3 @@ class PipelineSanitizer:
         if overlap:
             self._fail("rat-frl-live",
                        f"VVRs {sorted(overlap)} are both mapped and free")
-
-    # -- span accounting -------------------------------------------------------
-    def on_span(self, stats) -> None:
-        """Per-interval conservation: every fast-forward leaves the span
-        counters balanced, not just the end-of-run totals."""
-        self.checks_run += 1
-        if stats.span_cycles != stats.spans_charged + stats.cycles_skipped:
-            self._fail("span-conservation",
-                       f"span_cycles={stats.span_cycles} != spans_charged="
-                       f"{stats.spans_charged} + cycles_skipped="
-                       f"{stats.cycles_skipped} after a fast-forward "
-                       f"interval")
-
-    def on_run_end(self, stats) -> None:
-        self.checks_run += 1
-        if stats.span_cycles != stats.spans_charged + stats.cycles_skipped:
-            self._fail("span-conservation",
-                       f"span_cycles={stats.span_cycles} != spans_charged="
-                       f"{stats.spans_charged} + cycles_skipped="
-                       f"{stats.cycles_skipped} at end of run")
-        if stats.fast_forward_cycles != stats.cycles_skipped:
-            self._fail("span-conservation",
-                       f"fast_forward_cycles={stats.fast_forward_cycles} "
-                       f"!= cycles_skipped={stats.cycles_skipped}")

@@ -98,26 +98,15 @@ class MicroOp:
     #: producer (source has no physical register yet), 1 = target issue
     #: queue full at dispatch step C.
     preissue_stall_kind: int = 0
-    #: Memoized earliest-ready wake-up (the scheduler's cached
-    #: ``_head_wait_time``): -2.0 = no memo; -1.0 = known-unknown (some
-    #: dependency has not issued), valid while ``wake_stamp`` matches the
-    #: pipeline's issue stamp; >= 0.0 = final (every dependency issued, so
-    #: its ``issued_at`` can never change again).  Any dependency-set
-    #: mutation (attach / producer rebuild / pruning) resets the memo.
-    wake_at: float = -2.0
-    wake_stamp: int = -1
 
     def attach_producer(self, producer: Optional["MicroOp"]) -> None:
         self.producers.append(producer)
-        self.wake_at = -2.0
 
     def attach_store_guard(self, guard: "MicroOp") -> None:
         self.store_guard = guard
-        self.wake_at = -2.0
 
     def attach_reader_guard(self, reader: "MicroOp") -> None:
         self.reader_guards.append(reader)
-        self.wake_at = -2.0
 
     def validate_ordering(self) -> None:
         """Assert every dependency entered an issue queue before this uop.

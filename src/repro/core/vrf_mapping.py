@@ -22,8 +22,8 @@ from typing import Deque, List, Optional
 class VRFMapping:
     """PRMT + VRLT + PFRL over ``n_vvr`` VVRs and ``n_physical`` P-regs."""
 
-    __slots__ = ("n_vvr", "n_physical", "vvr_version", "stamp", "_prmt",
-                 "_vrlt", "_pfrl", "_owner", "_in_mvrf", "sanitizer")
+    __slots__ = ("n_vvr", "n_physical", "vvr_version", "_prmt", "_vrlt",
+                 "_pfrl", "_owner", "_in_mvrf", "sanitizer")
 
     def __init__(self, n_vvr: int, n_physical: int) -> None:
         if n_physical < 1:
@@ -38,12 +38,6 @@ class VRFMapping:
         #: ever increase, so a sum over a fixed VVR set is unchanged iff
         #: every member is unchanged.
         self.vvr_version: List[int] = [0] * n_vvr
-        #: Global transition counter: bumped on *every* mapping transition
-        #: (any VVR's allocate / evict / release).  An unchanged stamp
-        #: proves every per-VVR version sum is unchanged, so the scheduler
-        #: can revalidate whole memoized stall outcomes in O(1) instead of
-        #: re-summing versions over each uop's source set.
-        self.stamp: int = 0
         self._prmt: List[Optional[int]] = [None] * n_vvr
         self._vrlt: List[bool] = [False] * n_vvr
         self._pfrl: Deque[int] = deque(range(n_physical))
@@ -96,7 +90,6 @@ class VRFMapping:
         self._in_mvrf[vvr] = False
         self._owner[preg] = vvr
         self.vvr_version[vvr] += 1
-        self.stamp += 1
         if self.sanitizer is not None:
             self.sanitizer.on_map_alloc(vvr, preg)
         return preg
@@ -110,7 +103,6 @@ class VRFMapping:
         self._owner[preg] = None
         self._pfrl.append(preg)
         self.vvr_version[vvr] += 1
-        self.stamp += 1
         if self.sanitizer is not None:
             self.sanitizer.on_map_evict(vvr, preg)
         return preg
@@ -125,7 +117,6 @@ class VRFMapping:
             self._prmt[vvr] = None
             self._in_mvrf[vvr] = False
             self.vvr_version[vvr] += 1
-            self.stamp += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_map_release(vvr, None)
             return None

@@ -9,10 +9,12 @@ regressions.
 
 The committed reference numbers live in ``benchmarks/BENCH_engine.json``;
 :func:`check_regression` fails when the measured cold throughput drops more
-than the allowed fraction below them.  ``pr1_baseline_cells_per_sec`` in
-that file records the throughput of the pre-event-driven-scheduler engine
-(PR 1), measured on the same machine with the same grid, so the scheduler's
-speedup stays visible next to the current numbers.
+than the allowed fraction below them, and :func:`check_counters` when the
+run's deterministic work counters differ from the record's at all.
+``pr1_baseline_cells_per_sec`` in that file records the throughput of the
+engine before the event-driven scheduler, measured on the same machine with
+the same grid, so the scheduler's speedup stays visible next to the current
+numbers.
 """
 
 from __future__ import annotations
@@ -205,6 +207,24 @@ def load_baseline(path: Path = BASELINE_PATH) -> Optional[dict]:
         return None
 
 
+#: Deterministic work counters of a benchmark run.  They depend only on
+#: the simulated behaviour, never on the host, so a run must reproduce the
+#: committed record exactly.
+WORK_COUNTERS = ("cycles_simulated", "events_processed", "cycles_skipped",
+                 "spans_charged")
+
+
+def check_counters(measured: dict, baseline: dict) -> Optional[str]:
+    """None if every work counter matches the committed record, else a
+    message naming each counter that differs."""
+    stale = [f"{name} {measured[name]} != recorded {baseline.get(name)}"
+             for name in WORK_COUNTERS if measured[name] != baseline.get(name)]
+    if not stale:
+        return None
+    return ("work counters differ from the committed record (the simulated "
+            "behaviour changed or the record is stale): " + ", ".join(stale))
+
+
 def check_regression(measured: dict, baseline: dict,
                      max_regression: float = 0.20) -> Optional[str]:
     """None if within budget, else a human-readable failure message."""
@@ -264,8 +284,10 @@ def run_bench_engine(output: Optional[str] = "BENCH_engine.json",
                      progress=None) -> int:
     """CLI body for ``repro bench engine``; returns an exit status.
 
-    ``relative=True`` gates on machine-independent ratios instead of the
-    committed absolute baseline — the mode CI uses.  Two ratios must hold:
+    In both modes the run's :data:`WORK_COUNTERS` must equal the committed
+    record's (when one covers this grid).  ``relative=True`` gates on
+    machine-independent ratios instead of the committed absolute
+    throughput — the mode CI uses.  Two ratios must hold:
     the same-run scheduler-vs-reference speedup
     (``min_relative_speedup``), and the warm-trace/cold ratio
     (``min_warm_ratio`` — replaying stored traces skips every compile, so
@@ -312,8 +334,11 @@ def run_bench_engine(output: Optional[str] = "BENCH_engine.json",
                 Path(output).stem + "_profile.txt")
             profile_path.write_text(table)
             print(f"[profile written to {profile_path}]")
+    stale = check_counters(measured, baseline) if baseline else None
+    if stale:
+        print(stale)
     if relative:
-        status = 0
+        status = 1 if stale else 0
         ratio = measured["speedup_vs_reference"]
         print(f"  vs reference stepper (same run): {ratio}x")
         if ratio < min_relative_speedup:
@@ -329,6 +354,8 @@ def run_bench_engine(output: Optional[str] = "BENCH_engine.json",
                   "should never be slower than compiling")
             status = 1
         return status
+    if stale:
+        return 1
     if baseline:
         failure = check_regression(measured, baseline, max_regression)
         if failure:

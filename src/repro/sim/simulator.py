@@ -90,25 +90,9 @@ class Simulator:
         self.pipeline.layout.set_data(name, values)
 
     def warm_caches(self) -> int:
-        """Pre-touch every application data line into the L2.
-
-        Models the steady-state region the paper measures (the RiVEC kernels
-        iterate over their data many times, so compulsory misses are
-        negligible in the reported statistics).  Returns the number of lines
-        touched.
-        """
-        from repro.isa.operands import AddressSpace, MemOperand
-        from repro.isa.registers import ELEMENT_BYTES
-
-        touched = 0
-        for name, n_elems in self.program.buffers.items():
-            base = self.pipeline.layout.base_addr(
-                MemOperand(AddressSpace.DATA, name))
-            for addr in range(base, base + n_elems * ELEMENT_BYTES, 64):
-                self.pipeline.memsys.l2.access(addr, write=False)
-                touched += 1
-        self.pipeline.memsys.reset_stats()
-        return touched
+        """Pre-touch every application data line into the L2 (see
+        :func:`warm_l2`); returns the number of lines touched."""
+        return warm_l2(self.pipeline)
 
     def run(self, max_cycles: int = 200_000_000) -> SimResult:
         stats = self.pipeline.run(max_cycles=max_cycles)
@@ -117,3 +101,25 @@ class Simulator:
             data = {name: self.pipeline.layout.get_data(name)
                     for name in self.program.buffers}
         return SimResult(stats=stats, data=data)
+
+
+def warm_l2(pipeline) -> int:
+    """Pre-touch every application data line of ``pipeline``'s program into
+    its L2, then zero the memory-system counters.
+
+    Models the steady-state region the paper measures (the RiVEC kernels
+    iterate over their data many times, so compulsory misses are
+    negligible in the reported statistics).  Works on either pipeline
+    implementation.  Returns the number of lines touched.
+    """
+    from repro.isa.operands import AddressSpace, MemOperand
+    from repro.isa.registers import ELEMENT_BYTES
+
+    touched = 0
+    for name, n_elems in pipeline.program.buffers.items():
+        base = pipeline.layout.base_addr(MemOperand(AddressSpace.DATA, name))
+        for addr in range(base, base + n_elems * ELEMENT_BYTES, 64):
+            pipeline.memsys.l2.access(addr, write=False)
+            touched += 1
+    pipeline.memsys.reset_stats()
+    return touched

@@ -58,27 +58,17 @@ class SimStats:
     issue_victim_stalls: int = 0
     arith_busy_cycles: int = 0
     mem_busy_cycles: int = 0
-    fast_forward_cycles: int = 0
 
     # Scheduler efficiency: cycles the event-driven scheduler actually
-    # evaluated (``events_processed``) versus cycles it jumped over between
-    # events (``cycles_skipped``).  A no-progress probe cycle is evaluated
-    # and then jumped over, so the counters overlap by the probe count:
-    # events <= cycles <= events + skipped.  ``fast_forward_cycles`` keeps
-    # its historical name and value (it counts the same skipped cycles) so
-    # downstream consumers stay stable.
+    # evaluated (``events_processed``), cycles it jumped over between
+    # events (``cycles_skipped``) and the number of jumps
+    # (``spans_charged``: each disposes of one stalled interval in a single
+    # step).  A no-progress probe cycle is evaluated and then jumped over,
+    # so the counters overlap by the probe count:
+    # events <= cycles <= events + skipped.
     events_processed: int = 0
     cycles_skipped: int = 0
-
-    # Span charging: every fast-forward disposes of one stalled interval in
-    # a single step instead of cycle-by-cycle.  ``spans_charged`` counts
-    # those intervals and ``span_cycles`` the cycles they cover (the
-    # evaluated probe plus the jumped cycles), so
-    # ``span_cycles == spans_charged + cycles_skipped``.  Both pipelines
-    # compute them from the same structural events, so they are pinned
-    # byte-identical by the equivalence suite like every other counter.
     spans_charged: int = 0
-    span_cycles: int = 0
 
     # Provenance.
     config_name: str = ""
@@ -86,6 +76,12 @@ class SimStats:
     meta: dict = field(default_factory=dict)
 
     # -- derived ---------------------------------------------------------------
+    @property
+    def span_cycles(self) -> int:
+        """Cycles covered by charged spans: each span is its evaluated
+        probe cycle plus the cycles jumped after it."""
+        return self.spans_charged + self.cycles_skipped
+
     @property
     def memory_insts(self) -> int:
         """All vector memory instructions, Fig. 3 column-1 total."""

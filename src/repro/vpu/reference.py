@@ -187,8 +187,6 @@ class ReferencePipeline:
             else:
                 self._fast_forward()
         self._harvest()
-        if self._san is not None:
-            self._san.on_run_end(self.stats)
         return self.stats
 
     def _step(self) -> bool:
@@ -207,18 +205,18 @@ class ReferencePipeline:
             candidates.append(self._completions[0][0])
         if self.mem_q:
             candidates.append(self._mem_busy_until)
-            wait = self._head_wait_time(self.mem_q[0])
+            wait = self._ready_wake(self.mem_q[0])
             if wait is not None:
                 candidates.append(wait)
             # Swap ops can issue out of order past a blocked head.
             for queued in self.mem_q:
                 if queued.inst.tag is Tag.SWAP:
-                    wait = self._head_wait_time(queued)
+                    wait = self._ready_wake(queued)
                     if wait is not None:
                         candidates.append(wait)
         if self.arith_q:
             candidates.append(self._arith_busy_until)
-            wait = self._head_wait_time(self.arith_q[0])
+            wait = self._ready_wake(self.arith_q[0])
             if wait is not None:
                 candidates.append(wait)
         if self._fetch_idx < len(self.program.insts):
@@ -227,17 +225,13 @@ class ReferencePipeline:
         if not future:
             raise DeadlockError(self._dump())
         target = int(min(future))
-        self.stats.fast_forward_cycles += target - self.now
         self.stats.cycles_skipped += target - self.now
-        # Span accounting: one stalled interval disposed of in one step.
-        # The covered span is the evaluated probe cycle plus the jump.
+        # One stalled interval (the evaluated probe cycle plus the jump)
+        # disposed of in one step.
         self.stats.spans_charged += 1
-        self.stats.span_cycles += target - self.now + 1
         self.now = target
-        if self._san is not None:
-            self._san.on_span(self.stats)
 
-    def _head_wait_time(self, uop: MicroOp) -> Optional[float]:
+    def _ready_wake(self, uop: MicroOp) -> Optional[float]:
         """Earliest cycle the queue head could become ready, if timestamped."""
         t = 0.0
         for p in uop.producers:

@@ -4,7 +4,7 @@
 test_self_lint_clean — so this fixture covers the other two probes.)
 """
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 
 def _run_cell(cell):

@@ -202,3 +202,23 @@ def test_cache_flag_validation():
         main(["cache", "--no-cache"])  # contradiction
     with pytest.raises(SystemExit):
         main(["figure3", "axpy", "--traces"])  # flags are cache-only
+
+
+def test_claims_exit_status_follows_the_claims(monkeypatch, capsys,
+                                               cache_args):
+    """`claims` exits 1 as soon as one claim prints NO; stdout is the same
+    rendered table either way."""
+    import repro.experiments.headline as headline
+    from repro.experiments.headline import Claim, render_claims
+
+    claims = [Claim("first", "1", "1", True), Claim("second", "2", "2", True)]
+    monkeypatch.setattr(headline, "check_headline_claims",
+                        lambda executor=None, extra_workloads=(): claims)
+    assert main(["claims"] + cache_args) == 0
+    assert capsys.readouterr().out == render_claims(claims) + "\n"
+
+    claims[1] = Claim("second", "2", "3", False)
+    assert main(["claims"] + cache_args) == 1
+    out = capsys.readouterr().out
+    assert out == render_claims(claims) + "\n"
+    assert "1/2 headline claims hold" in out
